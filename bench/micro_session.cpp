@@ -1,17 +1,21 @@
 // Service-mode micro-benchmarks (DESIGN.md §16): the per-quantum cost of
-// Session::step() at paper scale, and the full snapshot -> restore round
-// trip through the dgs.checkpoint.v1 artifact.  BM_SessionStep bounds the
-// steady-state cost a service pays per scheduling quantum; BM_Checkpoint
-// bounds how expensive "checkpoint every N minutes" is.  CI's bench-smoke
-// lane gates both against bench/baseline.json.
+// Session::step() at paper scale, the full snapshot -> restore round trip
+// through the dgs.checkpoint.v1 artifact, and the CRC-32 every checkpoint
+// pays twice.  BM_SessionStep bounds the steady-state cost a service pays
+// per scheduling quantum; BM_Checkpoint bounds how expensive "checkpoint
+// every N minutes" is; BM_Crc32 holds the slicing-by-8 CRC's speed.  CI's
+// serve-smoke lane gates all three against bench/baseline.json.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "bench/bench_flags.h"
 #include "bench/common.h"
 #include "src/core/session.h"
+#include "src/util/crc32.h"
 
 namespace {
 
@@ -68,6 +72,19 @@ void BM_Checkpoint(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Checkpoint)->Unit(benchmark::kMillisecond);
+
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> buf(std::size_t{8} << 20);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::uint8_t>(i * 131 + (i >> 11));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::crc32(buf));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

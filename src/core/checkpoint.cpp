@@ -41,20 +41,27 @@ void write_checkpoint(
     std::span<const std::pair<std::string, std::string>> sections) {
   const auto names = checkpoint_section_names();
   DGS_ENSURE_EQ(sections.size(), names.size());
-  std::string payload;
+  // The payload is the frames and bodies in file order; its size and CRC
+  // accumulate over the pieces, so it is never materialized.
+  std::vector<std::string> frames;
+  frames.reserve(sections.size());
+  std::uint32_t crc = util::crc32_init();
+  header.payload_bytes = 0;
   for (std::size_t i = 0; i < sections.size(); ++i) {
     DGS_ENSURE(sections[i].first == names[i],
                "checkpoint section " << i << " must be '" << names[i]
                                      << "', got '" << sections[i].first
                                      << "'");
+    const std::string& body = sections[i].second;
     BinaryWriter frame;
     frame.str(sections[i].first);
-    frame.u64(sections[i].second.size());
-    payload += frame.data();
-    payload += sections[i].second;
+    frame.u64(body.size());
+    frames.push_back(frame.take());
+    crc = util::crc32_update(crc, as_bytes(frames.back()));
+    crc = util::crc32_update(crc, as_bytes(body));
+    header.payload_bytes += frames.back().size() + body.size();
   }
-  header.payload_bytes = payload.size();
-  header.payload_crc32 = util::crc32(as_bytes(payload));
+  header.payload_crc32 = util::crc32_final(crc);
   const std::string header_json = render_checkpoint_header(header);
   // Emitting through our own validator guarantees the writer can never
   // produce a header the reader rejects.
@@ -65,7 +72,10 @@ void write_checkpoint(
   out << kCheckpointMagic;
   BinaryWriter len;
   len.u64(header_json.size());
-  out << len.data() << header_json << payload;
+  out << len.data() << header_json;
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    out << frames[i] << sections[i].second;
+  }
 }
 
 std::string_view CheckpointView::section(std::string_view name) const {
@@ -85,12 +95,7 @@ std::optional<ArtifactError> read_checkpoint(std::string_view data,
   if (data.size() - at < 8) {
     return err("checkpoint", "truncated before the header length");
   }
-  std::uint64_t header_len = 0;
-  for (int i = 0; i < 8; ++i) {
-    header_len |= static_cast<std::uint64_t>(
-                      static_cast<std::uint8_t>(data[at + i]))
-                  << (8 * i);
-  }
+  const auto header_len = util::load_le<std::uint64_t>(data.data() + at);
   at += 8;
   if (header_len > data.size() - at) {
     return err("checkpoint", "header length exceeds the file");
@@ -133,12 +138,7 @@ std::optional<ArtifactError> read_checkpoint(std::string_view data,
   for (const char* expected : names) {
     const std::string where = std::string("checkpoint.") + expected;
     if (payload.size() - p < 4) return err(where, "truncated section name");
-    std::uint32_t name_len = 0;
-    for (int i = 0; i < 4; ++i) {
-      name_len |= static_cast<std::uint32_t>(
-                      static_cast<std::uint8_t>(payload[p + i]))
-                  << (8 * i);
-    }
+    const auto name_len = util::load_le<std::uint32_t>(payload.data() + p);
     p += 4;
     if (payload.size() - p < name_len) {
       return err(where, "truncated section name");
@@ -150,12 +150,7 @@ std::optional<ArtifactError> read_checkpoint(std::string_view data,
                             "', got '" + std::string(name) + "'");
     }
     if (payload.size() - p < 8) return err(where, "truncated section size");
-    std::uint64_t body_len = 0;
-    for (int i = 0; i < 8; ++i) {
-      body_len |= static_cast<std::uint64_t>(
-                      static_cast<std::uint8_t>(payload[p + i]))
-                  << (8 * i);
-    }
+    const auto body_len = util::load_le<std::uint64_t>(payload.data() + p);
     p += 8;
     if (payload.size() - p < body_len) {
       return err(where, "section body exceeds the payload");

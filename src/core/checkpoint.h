@@ -15,10 +15,18 @@
 // raw double bits (not decimal text) is what makes restore byte-identical
 // to an uninterrupted run: the restored state is the exact state that was
 // saved, to the last mantissa bit.
+//
+// The codec moves each scalar with one memcpy (util/byte_order.h: a byte
+// swap on big-endian hosts, none on little-endian ones) and a run of
+// doubles with one bulk copy; write_checkpoint streams the payload CRC
+// over the section frames and bodies instead of concatenating them.  Every
+// element count read back is bounded by the bytes left in its section
+// before anything is sized by it.
 #pragma once
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <istream>
 #include <optional>
 #include <ostream>
@@ -29,31 +37,34 @@
 #include <vector>
 
 #include "src/core/run_artifact.h"
+#include "src/util/byte_order.h"
 #include "src/util/check.h"
 
 namespace dgs::core {
 
 inline constexpr std::string_view kCheckpointMagic = "dgs.checkpoint.v1\n";
 
-/// Little-endian binary section writer.  Explicit byte pushes (not
-/// memcpy-of-struct) keep the format independent of host padding; doubles
-/// round-trip via std::bit_cast so no precision is lost.
+/// Little-endian binary section writer.  Scalars are stored field by field
+/// (never memcpy-of-struct), so host padding never reaches the format;
+/// doubles round-trip via std::bit_cast so no precision is lost.
 class BinaryWriter {
  public:
   void u8(std::uint8_t v) { data_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      data_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      data_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  /// The same bytes as f64() per element, in one append on little-endian
+  /// hosts.
+  void f64s(std::span<const double> v) {
+    if (v.empty()) return;  // An empty vector's data() may be null.
+    if constexpr (util::kHostIsLittleEndian) {
+      data_.append(reinterpret_cast<const char*>(v.data()), v.size_bytes());
+    } else {
+      for (const double d : v) f64(d);
+    }
+  }
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
     data_.append(s);
@@ -63,6 +74,13 @@ class BinaryWriter {
   std::string take() { return std::move(data_); }
 
  private:
+  template <typename T>
+  void put(T v) {
+    char bytes[sizeof(T)];
+    util::store_le(bytes, v);
+    data_.append(bytes, sizeof(T));
+  }
+
   std::string data_;
 };
 
@@ -77,37 +95,40 @@ class BinaryReader {
     need(1);
     return static_cast<std::uint8_t>(data_[i_++]);
   }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(data_[i_ + i]))
-           << (8 * i);
-    }
-    i_ += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(data_[i_ + i]))
-           << (8 * i);
-    }
-    i_ += 8;
-    return v;
-  }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() { return std::bit_cast<double>(u64()); }
+  /// Fills `out` with consecutive f64() values.
+  void f64s(std::span<double> out) {
+    need(out.size_bytes());
+    if (out.empty()) return;  // memcpy's null-pointer rule.
+    if constexpr (util::kHostIsLittleEndian) {
+      std::memcpy(out.data(), data_.data() + i_, out.size_bytes());
+      i_ += out.size_bytes();
+    } else {
+      for (double& d : out) d = f64();
+    }
+  }
   std::string str() {
     const std::uint32_t n = u32();
     need(n);
     std::string s(data_.substr(i_, n));
     i_ += n;
     return s;
+  }
+  /// A u64 element count, checked against the bytes left: `n` elements
+  /// of at least `min_elem_bytes` each must fit, so a corrupt count is a
+  /// named error before the caller sizes anything by it.
+  std::size_t count(std::size_t min_elem_bytes) {
+    const std::uint64_t n = u64();
+    DGS_ENSURE(n <= remaining() / min_elem_bytes,
+               "checkpoint section truncated: " << n << " elements of >= "
+                                                << min_elem_bytes
+                                                << " bytes, have "
+                                                << remaining());
+    return static_cast<std::size_t>(n);
   }
 
   bool done() const { return i_ == data_.size(); }
@@ -118,6 +139,13 @@ class BinaryReader {
     DGS_ENSURE(data_.size() - i_ >= n,
                "checkpoint section truncated: need " << n << " bytes, have "
                                                      << data_.size() - i_);
+  }
+  template <typename T>
+  T get() {
+    need(sizeof(T));
+    const T v = util::load_le<T>(data_.data() + i_);
+    i_ += sizeof(T);
+    return v;
   }
 
   std::string_view data_;
@@ -144,7 +172,8 @@ struct CheckpointHeader {
 std::string render_checkpoint_header(const CheckpointHeader& header);
 
 /// Writes a complete checkpoint: magic, header (payload size/CRC computed
-/// here), and the sections in the given order.  The caller must pass
+/// here, streamed over the frames and bodies), and the sections in the
+/// given order, each written straight to `out`.  The caller must pass
 /// exactly checkpoint_section_names() names in order — enforced.
 void write_checkpoint(
     std::ostream& out, CheckpointHeader header,

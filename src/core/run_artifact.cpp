@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <ostream>
 
 #include "src/core/report.h"
@@ -283,6 +284,14 @@ constexpr CampaignFieldSpec kCampaignIdentity[] = {
     {"weather_seed", CampaignFieldKind::kCInt},
 };
 
+/// Appends decimal digit `d` to `*v`; false, leaving `*v` as it was, when
+/// the result would not fit in a long long.
+bool push_digit(long long* v, int d) {
+  if (*v > (std::numeric_limits<long long>::max() - d) / 10) return false;
+  *v = *v * 10 + d;
+  return true;
+}
+
 std::optional<ArtifactError> check_number(const JsonValue& v,
                                           const std::string& where,
                                           bool integral) {
@@ -338,7 +347,7 @@ std::optional<ArtifactError> check_tenants_object(const JsonValue& v,
     const std::string row_where = where + "." + key;
     // Keys are "t_%03d" in declaration order (the netdesign "k_%03d"
     // convention, since the restricted subset has no arrays).
-    char expected[8];
+    char expected[24];
     std::snprintf(expected, sizeof(expected), "t_%03lld", index);
     if (key != expected) {
       return err(row_where, std::string("expected key \"") + expected +
@@ -520,7 +529,7 @@ std::optional<ArtifactError> check_netdesign_field(const JsonValue& v,
 }
 
 /// "3,17,42" -> strictly ascending non-negative id count, or -1 on any
-/// malformation.
+/// malformation (an id too large for a long long included).
 int station_ids_count(const std::string& text) {
   int count = 0;
   long long prev = -1;
@@ -529,7 +538,7 @@ int station_ids_count(const std::string& text) {
     std::size_t j = i;
     long long v = 0;
     while (j < text.size() && text[j] >= '0' && text[j] <= '9') {
-      v = v * 10 + (text[j] - '0');
+      if (!push_digit(&v, text[j] - '0')) return -1;
       ++j;
     }
     if (j == i) return -1;           // empty token
@@ -567,8 +576,8 @@ std::optional<ArtifactError> check_netdesign_point(const JsonValue& p,
     }
   }
   const double stations = p.find("stations")->number;
-  if (stations < 1.0) {
-    return err(where + ".stations", "must be >= 1");
+  if (stations < 1.0 || stations > std::numeric_limits<int>::max()) {
+    return err(where + ".stations", "must be in [1, 2^31)");
   }
   const double frac = p.find("delivered_fraction")->number;
   if (frac < 0.0 || frac > 1.0) {
@@ -909,7 +918,9 @@ std::optional<ArtifactError> validate_netdesign_front_json(
       if (key[i] < '0' || key[i] > '9') {
         return err(where, "point keys must look like \"k_004\"");
       }
-      k = k * 10 + (key[i] - '0');
+      if (!push_digit(&k, key[i] - '0')) {
+        return err(where, "point key K is out of range");
+      }
     }
     if (k <= prev_k) {
       return err(where, "point keys must be strictly ascending");
@@ -958,6 +969,12 @@ std::optional<ArtifactError> validate_checkpoint_header_json(
   for (const char* positive : {"num_satellites", "num_stations", "steps"}) {
     if (field(positive) < 1.0) {
       return err(std::string("checkpoint.") + positive, "must be >= 1");
+    }
+  }
+  // Restore narrows the fleet sizes to int.
+  for (const char* count : {"num_satellites", "num_stations"}) {
+    if (field(count) > std::numeric_limits<int>::max()) {
+      return err(std::string("checkpoint.") + count, "must be in [1, 2^31)");
     }
   }
   if (field("step_seconds") <= 0.0 || field("duration_hours") <= 0.0) {

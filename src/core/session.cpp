@@ -22,6 +22,12 @@ namespace {
 
 // --- Checkpoint encoding helpers -------------------------------------------
 
+// Encoded sizes of the repeated records: the least bytes one element of
+// a counted run occupies, which bounds the count (BinaryReader::count).
+constexpr std::size_t kEpochBytes = 16;
+constexpr std::size_t kChunkBytes = kEpochBytes + 3 * 8;
+constexpr std::size_t kEdgeBytes = 3 * 4 + 4 * 8;
+
 void put_epoch(BinaryWriter& w, const util::Epoch& e) {
   w.f64(e.jd_whole());
   w.f64(e.jd_frac());
@@ -35,17 +41,14 @@ util::Epoch get_epoch(BinaryReader& r) {
 
 void put_samples(BinaryWriter& w, const util::SampleSet& s) {
   w.u8(s.sort_cached() ? 1 : 0);
-  const std::vector<double>& raw = s.raw();
-  w.u64(raw.size());
-  for (const double v : raw) w.f64(v);
+  w.u64(s.raw().size());
+  w.f64s(s.raw());
 }
 
 util::SampleSet get_samples(BinaryReader& r) {
   const bool sorted = r.u8() != 0;
-  const std::uint64_t n = r.u64();
-  std::vector<double> raw;
-  raw.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) raw.push_back(r.f64());
+  std::vector<double> raw(r.count(8));
+  r.f64s(raw);
   util::SampleSet s;
   s.restore(std::move(raw), sorted);
   return s;
@@ -1097,7 +1100,7 @@ void Session::snapshot(std::ostream& out) const {
     }
     w.u8(backhaul_faults_ ? 1 : 0);
     if (backhaul_faults_) {
-      for (const double m : prev_backhaul_mult_) w.f64(m);
+      w.f64s(prev_backhaul_mult_);
     }
     w.u8(edge_queues_.empty() ? 0 : 1);
     for (const backend::StationEdgeQueue& eq : edge_queues_) {
@@ -1207,7 +1210,7 @@ void Session::snapshot(std::ostream& out) const {
         w.u8(static_cast<std::uint8_t>(m.kind));
         w.f64(m.value);
         w.u64(m.upper_bounds.size());
-        for (const double b : m.upper_bounds) w.f64(b);
+        w.f64s(m.upper_bounds);
         w.u64(m.cells.size());
         for (const std::uint64_t c : m.cells) w.u64(c);
         w.f64(m.sum);
@@ -1233,9 +1236,22 @@ std::unique_ptr<Session> Session::restore(
     std::vector<groundseg::GroundStation> stations,
     const weather::WeatherProvider* actual_weather,
     const SimulationOptions& opts) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string data = buffer.str();
+  // A seekable stream is read straight into one buffer of the remaining
+  // size; only a stream that cannot seek goes through a growing copy.
+  std::string data;
+  const std::istream::pos_type start = in.tellg();
+  if (start != std::istream::pos_type(-1) && in.seekg(0, std::ios::end)) {
+    const std::istream::pos_type end = in.tellg();
+    in.seekg(start);
+    data.resize(static_cast<std::size_t>(end - start));
+    in.read(data.data(), static_cast<std::streamsize>(data.size()));
+    data.resize(static_cast<std::size_t>(in.gcount()));
+  } else {
+    in.clear();
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    data = std::move(buffer).str();
+  }
   auto session = std::unique_ptr<Session>(
       new Session(std::move(sats), std::move(stations), actual_weather,
                   opts));
@@ -1278,10 +1294,10 @@ void Session::apply_checkpoint(std::string_view data) {
     res_.ack_delay_minutes = get_samples(r);
     res_.cloud_latency_minutes = get_samples(r);
     res_.station_queued_bytes = r.f64();
-    const std::uint64_t n_ts = r.u64();
+    const std::size_t n_ts = r.count(3 * 8 + 4 + 8);
     res_.timeseries.clear();
     res_.timeseries.reserve(n_ts);
-    for (std::uint64_t i = 0; i < n_ts; ++i) {
+    for (std::size_t i = 0; i < n_ts; ++i) {
       StepRecord rec;
       rec.hours = r.f64();
       rec.delivered_bytes_cum = r.f64();
@@ -1318,9 +1334,9 @@ void Session::apply_checkpoint(std::string_view data) {
     res_.plan_upload_failures = r.i64();
     res_.steps = r.i64();
     res_.mean_station_utilization = r.f64();
-    const std::uint64_t n_open = r.u64();
+    const std::size_t n_open = r.count(4 * 4 + 8);
     open_contacts_.clear();
-    for (std::uint64_t i = 0; i < n_open; ++i) {
+    for (std::size_t i = 0; i < n_open; ++i) {
       const int sat = r.i32();
       const int station = r.i32();
       OpenContact oc;
@@ -1338,20 +1354,20 @@ void Session::apply_checkpoint(std::string_view data) {
     DGS_ENSURE_EQ(n, static_cast<std::uint64_t>(num_sats_));
     for (int s = 0; s < num_sats_; ++s) {
       std::deque<DataChunk> chunks;
-      const std::uint64_t n_chunks = r.u64();
-      for (std::uint64_t i = 0; i < n_chunks; ++i) {
+      const std::size_t n_chunks = r.count(kChunkBytes);
+      for (std::size_t i = 0; i < n_chunks; ++i) {
         chunks.push_back(get_chunk(r));
       }
       std::deque<OnboardQueue::PendingBatch> pending;
-      const std::uint64_t n_pending = r.u64();
-      for (std::uint64_t i = 0; i < n_pending; ++i) {
+      const std::size_t n_pending = r.count(2 * kEpochBytes + 8 + 1 + 8);
+      for (std::size_t i = 0; i < n_pending; ++i) {
         OnboardQueue::PendingBatch b;
         b.sent = get_epoch(r);
         b.report_ready = get_epoch(r);
         b.bytes = r.f64();
         b.received = r.u8() != 0;
-        const std::uint64_t n_pieces = r.u64();
-        for (std::uint64_t j = 0; j < n_pieces; ++j) {
+        const std::size_t n_pieces = r.count(kChunkBytes);
+        for (std::size_t j = 0; j < n_pieces; ++j) {
           b.pieces.push_back(get_chunk(r));
         }
         pending.push_back(std::move(b));
@@ -1386,16 +1402,14 @@ void Session::apply_checkpoint(std::string_view data) {
     const bool had_backhaul_faults = r.u8() != 0;
     DGS_ENSURE_EQ(had_backhaul_faults, backhaul_faults_);
     if (had_backhaul_faults) {
-      for (int g = 0; g < num_stations_; ++g) {
-        prev_backhaul_mult_[g] = r.f64();
-      }
+      r.f64s(prev_backhaul_mult_);
     }
     const bool had_edges = r.u8() != 0;
     DGS_ENSURE_EQ(had_edges, !edge_queues_.empty());
     for (backend::StationEdgeQueue& eq : edge_queues_) {
       std::deque<backend::EdgeItem> items;
-      const std::uint64_t n_items = r.u64();
-      for (std::uint64_t i = 0; i < n_items; ++i) {
+      const std::size_t n_items = r.count(2 * kEpochBytes + 3 * 8);
+      for (std::size_t i = 0; i < n_items; ++i) {
         backend::EdgeItem item;
         item.capture = get_epoch(r);
         item.ground_rx = get_epoch(r);
@@ -1413,12 +1427,12 @@ void Session::apply_checkpoint(std::string_view data) {
   {  // "planner"
     BinaryReader r(view.section("planner"));
     plan_origin_ = r.i64();
-    const std::uint64_t n_steps = r.u64();
+    const std::size_t n_steps = r.count(8);
     plan_.per_step.assign(n_steps, {});
-    for (std::uint64_t i = 0; i < n_steps; ++i) {
-      const std::uint64_t n_edges = r.u64();
+    for (std::size_t i = 0; i < n_steps; ++i) {
+      const std::size_t n_edges = r.count(kEdgeBytes);
       plan_.per_step[i].reserve(n_edges);
-      for (std::uint64_t j = 0; j < n_edges; ++j) {
+      for (std::size_t j = 0; j < n_edges; ++j) {
         plan_.per_step[i].push_back(get_edge(r));
       }
     }
@@ -1436,25 +1450,25 @@ void Session::apply_checkpoint(std::string_view data) {
       const std::uint64_t hits = r.u64();
       const std::uint64_t misses = r.u64();
       std::map<std::int64_t, StepGeometry> entries;
-      const std::uint64_t n_entries = r.u64();
-      for (std::uint64_t i = 0; i < n_entries; ++i) {
+      const std::size_t n_entries = r.count(3 * 8);
+      for (std::size_t i = 0; i < n_entries; ++i) {
         const std::int64_t key = r.i64();
         StepGeometry geom;
-        const std::uint64_t n_ecef = r.u64();
+        const std::size_t n_ecef = r.count(3 * 8);
         geom.sat_ecef.reserve(n_ecef);
-        for (std::uint64_t j = 0; j < n_ecef; ++j) {
+        for (std::size_t j = 0; j < n_ecef; ++j) {
           util::Vec3 v;
           v.x = r.f64();
           v.y = r.f64();
           v.z = r.f64();
           geom.sat_ecef.push_back(v);
         }
-        const std::uint64_t n_st = r.u64();
+        const std::size_t n_st = r.count(8);
         geom.per_station.resize(n_st);
-        for (std::uint64_t g = 0; g < n_st; ++g) {
-          const std::uint64_t n_vis = r.u64();
+        for (std::size_t g = 0; g < n_st; ++g) {
+          const std::size_t n_vis = r.count(4 + 2 * 8);
           geom.per_station[g].reserve(n_vis);
-          for (std::uint64_t k = 0; k < n_vis; ++k) {
+          for (std::size_t k = 0; k < n_vis; ++k) {
             VisibleSat vs;
             vs.sat = r.i32();
             vs.elevation_rad = r.f64();
@@ -1472,20 +1486,20 @@ void Session::apply_checkpoint(std::string_view data) {
   {  // "matcher"
     BinaryReader r(view.section("matcher"));
     std::vector<std::pair<int, int>> prev_pairs;
-    const std::uint64_t n_pairs = r.u64();
+    const std::size_t n_pairs = r.count(2 * 4);
     prev_pairs.reserve(n_pairs);
-    for (std::uint64_t i = 0; i < n_pairs; ++i) {
+    for (std::size_t i = 0; i < n_pairs; ++i) {
       const int sat = r.i32();
       const int station = r.i32();
       prev_pairs.emplace_back(sat, station);
     }
     std::vector<std::vector<int>> prev_order;
-    const std::uint64_t n_order = r.u64();
+    const std::size_t n_order = r.count(8);
     prev_order.resize(n_order);
-    for (std::uint64_t i = 0; i < n_order; ++i) {
-      const std::uint64_t m = r.u64();
+    for (std::size_t i = 0; i < n_order; ++i) {
+      const std::size_t m = r.count(4);
       prev_order[i].reserve(m);
-      for (std::uint64_t j = 0; j < m; ++j) {
+      for (std::size_t j = 0; j < m; ++j) {
         prev_order[i].push_back(r.i32());
       }
     }
@@ -1527,22 +1541,20 @@ void Session::apply_checkpoint(std::string_view data) {
     const bool had_metrics = r.u8() != 0;
     std::vector<obs::MetricSnapshot> snap;
     if (had_metrics) {
-      const std::uint64_t n = r.u64();
+      // name, help, kind, value, two counts, sum.
+      const std::size_t n = r.count(2 * 4 + 1 + 4 * 8);
       snap.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i) {
+      for (std::size_t i = 0; i < n; ++i) {
         obs::MetricSnapshot m;
         m.name = r.str();
         m.help = r.str();
         m.kind = r.u8();
         m.value = r.f64();
-        const std::uint64_t n_bounds = r.u64();
-        m.upper_bounds.reserve(n_bounds);
-        for (std::uint64_t j = 0; j < n_bounds; ++j) {
-          m.upper_bounds.push_back(r.f64());
-        }
-        const std::uint64_t n_cells = r.u64();
+        m.upper_bounds.resize(r.count(8));
+        r.f64s(m.upper_bounds);
+        const std::size_t n_cells = r.count(8);
         m.cells.reserve(n_cells);
-        for (std::uint64_t j = 0; j < n_cells; ++j) {
+        for (std::size_t j = 0; j < n_cells; ++j) {
           m.cells.push_back(r.u64());
         }
         m.sum = r.f64();

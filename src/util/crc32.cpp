@@ -2,24 +2,36 @@
 
 #include <array>
 
+#include "src/util/byte_order.h"
+
 namespace dgs::util {
 namespace {
 
 constexpr std::uint32_t kPolyReflected = 0xEDB88320u;
 
-constexpr std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+// Slicing-by-8 tables: kTables[0] is the classic bytewise table, and
+// kTables[k][b] is the CRC contribution of byte b followed by k zero
+// bytes, so eight table lookups fold one 8-byte word into the state.
+constexpr Tables make_tables() {
+  Tables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? (kPolyReflected ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-constexpr auto kTable = make_table();
+constexpr Tables kTables = make_tables();
 
 }  // namespace
 
@@ -27,8 +39,18 @@ std::uint32_t crc32_init() { return 0xFFFFFFFFu; }
 
 std::uint32_t crc32_update(std::uint32_t state,
                            std::span<const std::uint8_t> data) {
-  for (std::uint8_t b : data) {
-    state = kTable[(state ^ b) & 0xFFu] ^ (state >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le<std::uint32_t>(p) ^ state;
+    const std::uint32_t hi = load_le<std::uint32_t>(p + 4);
+    state = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+            kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+            kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+            kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    state = kTables[0][(state ^ *p) & 0xFFu] ^ (state >> 8);
   }
   return state;
 }

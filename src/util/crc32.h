@@ -1,5 +1,7 @@
 // CRC-32 (IEEE 802.3 polynomial), used to integrity-protect serialized
-// downlink plans and ack reports crossing the TT&C uplink.
+// downlink plans and ack reports crossing the TT&C uplink, and the payload
+// of dgs.checkpoint.v1 files.  Computed slicing-by-8 (eight table lookups
+// per 8-byte word); the results are those of the bytewise definition.
 #pragma once
 
 #include <cstddef>

@@ -138,7 +138,8 @@ inline bool json_valid(std::string_view text) {
 /// Extracts `"key": <number>` from a flat one-line JSON object.
 inline bool json_number_field(std::string_view line, std::string_view key,
                               double* out) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  std::string needle = "\"";
+  needle.append(key).append("\":");
   const std::size_t pos = line.find(needle);
   if (pos == std::string_view::npos) return false;
   const char* begin = line.data() + pos + needle.size();
@@ -152,7 +153,8 @@ inline bool json_number_field(std::string_view line, std::string_view key,
 /// Extracts `"key": "<text>"` (no escape handling; test data is ASCII).
 inline bool json_string_field(std::string_view line, std::string_view key,
                               std::string* out) {
-  const std::string needle = "\"" + std::string(key) + "\": \"";
+  std::string needle = "\"";
+  needle.append(key).append("\": \"");
   const std::size_t pos = line.find(needle);
   if (pos == std::string_view::npos) return false;
   const std::size_t start = pos + needle.size();

@@ -110,9 +110,9 @@ TEST(Report, SummaryJsonKeysAreStable) {
         "total_delivered_tb", "total_dropped_tb", "delivered_fraction",
         "assignments", "failed_assignments", "wasted_transmission_tb",
         "requeued_tb", "slew_events", "mean_station_utilization", "steps"}) {
-    EXPECT_NE(json.find("\"" + std::string(key) + "\":"),
-              std::string::npos)
-        << key;
+    std::string needle = "\"";
+    needle.append(key).append("\":");
+    EXPECT_NE(json.find(needle), std::string::npos) << key;
   }
 }
 

@@ -136,6 +136,55 @@ TEST(SummaryValidator, RejectsWrongFieldKinds) {
   EXPECT_EQ(zero_count->where, "summary.latency_minutes.count");
 }
 
+TEST(SummaryValidator, AcceptsSixDigitTenantKeys) {
+  // Tenant rows are keyed "t_%03d"; index 100000 is the first key wider
+  // than the zero-padded three digits, and must still validate.
+  SimulationResult r;
+  TenantOutcome t;
+  t.name = "t";
+  t.weight = 1.0;
+  r.per_tenant.assign(100001, t);
+  std::stringstream ss;
+  write_summary_json(ss, r);
+  ASSERT_NE(ss.str().find("\"t_100000\": "), std::string::npos);
+  const auto e = validate_summary_json(ss.str());
+  EXPECT_FALSE(e.has_value()) << e->where << ": " << e->message;
+}
+
+// --- Netdesign front validator ---------------------------------------------
+
+std::string valid_front() {
+  return "{\"schema_version\": " + std::to_string(kRunArtifactSchemaVersion) +
+         ", \"artifact\": \"netdesign_front\", \"pool_size\": 4, "
+         "\"pool_seed\": 1, \"num_satellites\": 2, \"network_seed\": 1, "
+         "\"weather_seed\": 1, \"duration_hours\": 1.0, "
+         "\"step_seconds\": 60.0, \"points\": {\"k_001\": {"
+         "\"stations\": 1, \"cost\": 1.0, \"objective_gb\": 1.0, "
+         "\"latency_p50_min\": 1.0, \"latency_p90_min\": 1.0, "
+         "\"backlog_end_gb\": 1.0, \"delivered_fraction\": 0.5, "
+         "\"dominated\": false, \"station_ids\": \"3\"}}}";
+}
+
+TEST(NetdesignFrontValidator, RejectsOutOfRangeNumbersByName) {
+  EXPECT_FALSE(validate_netdesign_front_json(valid_front()).has_value());
+  // A point key K past the long long range.
+  const auto long_key = validate_netdesign_front_json(
+      replaced(valid_front(), "\"k_001\"", "\"k_99999999999999999999001\""));
+  ASSERT_TRUE(long_key.has_value());
+  EXPECT_EQ(long_key->message, "point key K is out of range");
+  // A station id past the long long range.
+  const auto long_id = validate_netdesign_front_json(
+      replaced(valid_front(), "\"station_ids\": \"3\"",
+               "\"station_ids\": \"99999999999999999999999\""));
+  ASSERT_TRUE(long_id.has_value());
+  EXPECT_EQ(long_id->where, "front.points.k_001.station_ids");
+  // A station count past the int range.
+  const auto huge_count = validate_netdesign_front_json(
+      replaced(valid_front(), "\"stations\": 1,", "\"stations\": 1e30,"));
+  ASSERT_TRUE(huge_count.has_value());
+  EXPECT_EQ(huge_count->where, "front.points.k_001.stations");
+}
+
 // --- Timeseries validator --------------------------------------------------
 
 TEST(TimeseriesValidator, AcceptsWellFormedRows) {

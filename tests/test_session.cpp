@@ -5,13 +5,17 @@
 // output surface — summary JSON, Prometheus exposition, event JSONL — to
 // be byte-identical to the uninterrupted run.  Negative-space tests pin
 // the checkpoint validator: truncations, corrupt bytes, and scenario
-// mismatches must all be rejected with std::invalid_argument.
+// mismatches must all be rejected with std::invalid_argument.  A golden
+// pin fixes the size and CRC32 of one mid-horizon checkpoint, so a codec
+// change cannot move a single byte of dgs.checkpoint.v1 unnoticed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/report.h"
@@ -19,6 +23,7 @@
 #include "src/faults/profiles.h"
 #include "src/obs/events.h"
 #include "src/obs/metrics.h"
+#include "src/util/crc32.h"
 
 namespace dgs::core {
 namespace {
@@ -183,6 +188,62 @@ TEST(SessionCheckpoint, EdgeOfHorizonSnapshots) {
   EXPECT_EQ(summary_bytes(from_end->report()), done_summary);
 }
 
+// A stream that cannot seek, such as a pipe: only get-area reads.
+struct UnseekableBuf : std::streambuf {
+  explicit UnseekableBuf(std::string& bytes) {
+    setg(bytes.data(), bytes.data(), bytes.data() + bytes.size());
+  }
+};
+
+// restore() reads from the stream's current position to its end, whether
+// the stream can seek (one sized read) or not (a copy through a buffer).
+TEST(SessionCheckpoint, RestoreReadsSeekableAndUnseekableStreams) {
+  const Scenario s = golden_scenario();
+  Session session(s.sats, s.stations, nullptr, s.opts);
+  session.run_until_hours(1.0);
+  std::stringstream cp;
+  session.snapshot(cp);
+  const std::string bytes = cp.str();
+  const auto round_trip = [&](std::istream& in) {
+    std::unique_ptr<Session> restored =
+        Session::restore(in, s.sats, s.stations, nullptr, s.opts);
+    std::stringstream again;
+    restored->snapshot(again);
+    return again.str();
+  };
+
+  std::istringstream after_prefix("prefix" + bytes);
+  after_prefix.seekg(6);
+  EXPECT_EQ(round_trip(after_prefix), bytes);
+
+  std::string copy = bytes;
+  UnseekableBuf buf(copy);
+  std::istream unseekable(&buf);
+  ASSERT_EQ(unseekable.tellg(), std::istream::pos_type(-1));
+  unseekable.clear();
+  EXPECT_EQ(round_trip(unseekable), bytes);
+}
+
+// The dgs.checkpoint.v1 bytes of a mid-horizon snapshot (metrics registry
+// attached, so every section carries data) are pinned by size and CRC32.
+// The values were taken from the byte-at-a-time codec; any encoder change
+// that moves one byte of the format fails here.
+TEST(SessionCheckpoint, GoldenSnapshotBytesArePinned) {
+  const Scenario s = golden_scenario();
+  obs::Registry registry;
+  SimulationOptions opts = s.opts;
+  opts.metrics = &registry;
+  Session session(s.sats, s.stations, nullptr, opts);
+  session.run_until_hours(2.0);
+  std::stringstream ss;
+  session.snapshot(ss);
+  const std::string bytes = ss.str();
+  EXPECT_EQ(bytes.size(), std::size_t{66559});
+  EXPECT_EQ(util::crc32({reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                         bytes.size()}),
+            0x735AB5A0u);
+}
+
 // --- Negative space: the validator must reject every malformed or
 // mismatched checkpoint with std::invalid_argument -------------------------
 
@@ -268,6 +329,104 @@ TEST_F(SessionCheckpointNegative, ScenarioMismatchesAreRejected) {
     EXPECT_THROW(Session::restore(in, other.sats, other.stations, nullptr,
                                   other.opts),
                  std::invalid_argument);
+  }
+}
+
+std::size_t get_le(std::string_view bytes, std::size_t at, int n) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < n; ++i) {
+    v |= std::uint64_t{static_cast<std::uint8_t>(bytes[at + i])} << (8 * i);
+  }
+  return static_cast<std::size_t>(v);
+}
+
+// Splits a checkpoint into its header JSON and payload, lets `edit`
+// change them, then re-frames it with the header length and payload CRC
+// re-sealed, so the doctored file passes every container check the edit
+// did not aim at.
+template <typename Edit>
+std::string doctored(const std::string& file, Edit edit) {
+  const std::size_t magic = std::string_view("dgs.checkpoint.v1\n").size();
+  const std::size_t header_len = get_le(file, magic, 8);
+  std::string header = file.substr(magic + 8, header_len);
+  std::string payload = file.substr(magic + 8 + header_len);
+  edit(header, payload);
+  const std::uint32_t crc = util::crc32(
+      {reinterpret_cast<const std::uint8_t*>(payload.data()), payload.size()});
+  const std::string key = "\"payload_crc32\": ";
+  const std::size_t at = header.find(key) + key.size();
+  header.replace(at, header.find('}', at) - at, std::to_string(crc));
+  std::string out = file.substr(0, magic);
+  for (int i = 0; i < 8; ++i) {
+    out += static_cast<char>((header.size() >> (8 * i)) & 0xff);
+  }
+  return out + header + payload;
+}
+
+// Overwrites the u64 at `offset` in section `name`'s body.
+void put_section_u64(std::string& payload, std::string_view name,
+                     std::size_t offset, std::uint64_t value) {
+  std::size_t p = 0;
+  for (;;) {
+    const std::size_t name_len = get_le(payload, p, 4);
+    const std::string_view section(payload.data() + p + 4, name_len);
+    p += 4 + name_len;
+    const std::size_t body_len = get_le(payload, p, 8);
+    p += 8;
+    if (section == name) break;
+    p += body_len;
+  }
+  for (int i = 0; i < 8; ++i) {
+    payload[p + offset + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+  }
+}
+
+std::string restore_error(const Scenario& s, const std::string& data) {
+  std::istringstream in(data);
+  try {
+    Session::restore(in, s.sats, s.stations, nullptr, s.opts);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "(restored)";
+}
+
+// An element count far beyond what the section holds must die on the
+// bounds check with a named error, before anything is allocated for it.
+TEST_F(SessionCheckpointNegative, HugeCountsAreRejectedBeforeAllocation) {
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  const struct {
+    const char* section;
+    std::size_t offset;
+  } sites[] = {
+      {"planner", 8},  // n_steps, after the i64 plan origin
+      {"result", 1},   // the first sample set's size, after its sort flag
+  };
+  for (const auto& site : sites) {
+    const std::string data =
+        doctored(bytes_, [&](std::string&, std::string& payload) {
+          put_section_u64(payload, site.section, site.offset, kHuge);
+        });
+    EXPECT_NE(restore_error(s_, data).find("checkpoint section truncated"),
+              std::string::npos)
+        << site.section << ": " << restore_error(s_, data);
+  }
+}
+
+// Header counts are narrowed to int, so one past the int range is a named
+// header error, not an out-of-range conversion.
+TEST_F(SessionCheckpointNegative, OutOfRangeHeaderCountsAreRejected) {
+  for (const std::string key : {"num_satellites", "num_stations"}) {
+    const std::string data =
+        doctored(bytes_, [&](std::string& header, std::string&) {
+          const std::string field = "\"" + key + "\": ";
+          const std::size_t at = header.find(field) + field.size();
+          header.replace(at, header.find(',', at) - at, "9000000000000");
+        });
+    EXPECT_NE(restore_error(s_, data).find("checkpoint." + key +
+                                           ": must be in [1, 2^31)"),
+              std::string::npos)
+        << restore_error(s_, data);
   }
 }
 
