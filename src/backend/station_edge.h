@@ -24,6 +24,11 @@ struct EdgeItem {
   double bytes = 0.0;
   double remaining_bytes = 0.0;
   double priority = 1.0;
+
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(capture, ground_rx, bytes, remaining_bytes, priority);
+  }
 };
 
 /// Fired when an item's last byte reaches the cloud:
@@ -59,13 +64,10 @@ class StationEdgeQueue {
     uploaded_bytes_metric_ = uploaded_bytes;
   }
 
-  /// Checkpoint access (core::Session): the queue contents in service
+  /// Checkpoint state (core::Session): the queue contents in service
   /// order plus the exact queued-bytes aggregate, restored verbatim.
-  const std::deque<EdgeItem>& items() const { return items_; }
-  void restore_state(std::deque<EdgeItem> items, double queued_bytes) {
-    items_ = std::move(items);
-    queued_bytes_ = queued_bytes;
-  }
+  template <class Ar>
+  void visit(Ar& ar) { ar(items_, queued_bytes_); }
 
  private:
   double backhaul_bps_;

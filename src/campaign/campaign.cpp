@@ -448,6 +448,7 @@ std::optional<core::ArtifactError> validate_campaign_dir(
     return fail(dir + "/manifest.json: " + e->where, e->message);
   }
   const auto manifest = core::parse_restricted_json(manifest_text);
+  // The manifest validator bounds samples to [0, 2^31).
   const int samples =
       static_cast<int>(manifest->find("samples")->number);
 

@@ -54,8 +54,7 @@ void write_checkpoint(
                                      << "'");
     const std::string& body = sections[i].second;
     BinaryWriter frame;
-    frame.str(sections[i].first);
-    frame.u64(body.size());
+    frame(sections[i].first, std::uint64_t{body.size()});
     frames.push_back(frame.take());
     crc = util::crc32_update(crc, as_bytes(frames.back()));
     crc = util::crc32_update(crc, as_bytes(body));
@@ -71,7 +70,7 @@ void write_checkpoint(
   }
   out << kCheckpointMagic;
   BinaryWriter len;
-  len.u64(header_json.size());
+  len(std::uint64_t{header_json.size()});
   out << len.data() << header_json;
   for (std::size_t i = 0; i < sections.size(); ++i) {
     out << frames[i] << sections[i].second;

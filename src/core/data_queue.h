@@ -23,6 +23,9 @@ struct DataChunk {
   /// disaster imagery).  1.0 = bulk imagery; higher = more urgent.  The
   /// queue serves strictly by (priority desc, capture asc).
   double priority = 1.0;
+
+  template <class Ar>
+  void visit(Ar& ar) { ar(capture, total_bytes, remaining_bytes, priority); }
 };
 
 /// Invoked once per chunk when its last byte reaches the ground:
@@ -102,35 +105,28 @@ class OnboardQueue {
   /// then oldest first).
   const std::deque<DataChunk>& chunks() const { return chunks_; }
 
-  /// One in-flight transmission batch (public for checkpoint I/O; the
-  /// service semantics live entirely in transmit/acknowledge_all).
+  /// Checkpoint state (DESIGN.md §16).  The aggregates travel verbatim
+  /// rather than recomputed, so a resumed run's floating-point books are
+  /// bit-identical to an uninterrupted one; the capacity is configuration.
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(chunks_, pending_, queued_bytes_, pending_bytes_, dropped_bytes_,
+       offered_bytes_, acked_bytes_);
+  }
+
+ private:
+  /// One in-flight transmission batch.
   struct PendingBatch {
     util::Epoch sent;
     util::Epoch report_ready;        ///< Report available from here on.
     double bytes = 0.0;
     bool received = true;            ///< Ground captured the transmission.
     std::deque<DataChunk> pieces;    ///< For re-queue when !received.
+
+    template <class Ar>
+    void visit(Ar& ar) { ar(sent, report_ready, bytes, received, pieces); }
   };
 
-  /// Checkpoint access (core::Session).  The aggregates are restored
-  /// verbatim rather than recomputed so a resumed run's floating-point
-  /// books are bit-identical to an uninterrupted one.
-  const std::deque<PendingBatch>& pending_batches() const { return pending_; }
-  double capacity_bytes() const { return capacity_bytes_; }
-  void restore_state(std::deque<DataChunk> chunks,
-                     std::deque<PendingBatch> pending, double queued_bytes,
-                     double pending_bytes, double dropped_bytes,
-                     double offered_bytes, double acked_bytes) {
-    chunks_ = std::move(chunks);
-    pending_ = std::move(pending);
-    queued_bytes_ = queued_bytes;
-    pending_bytes_ = pending_bytes;
-    dropped_bytes_ = dropped_bytes;
-    offered_bytes_ = offered_bytes;
-    acked_bytes_ = acked_bytes;
-  }
-
- private:
   void insert_sorted(DataChunk chunk);
 
   std::deque<DataChunk> chunks_;

@@ -29,6 +29,7 @@
 // were handed, writing disjoint indices.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -47,6 +48,12 @@ struct VisibleSat {
   int sat = 0;
   double elevation_rad = 0.0;
   double range_km = 0.0;
+
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar.index(sat, ar.bounds().sats, "geometry-cache satellite");
+    ar(elevation_rad, range_km);
+  }
 };
 
 /// Weather-independent geometry of one scheduling step.
@@ -55,6 +62,16 @@ struct StepGeometry {
   /// Per station: satellites above the mask (owner constraints applied),
   /// in ascending satellite order.
   std::vector<std::vector<VisibleSat>> per_station;
+
+  /// Both runs are indexed by satellite/station on a cache hit, so their
+  /// lengths must match the fleet.
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar.same(sat_ecef, static_cast<std::size_t>(ar.bounds().sats),
+            "geometry-cache satellite count");
+    ar.same(per_station, static_cast<std::size_t>(ar.bounds().stations),
+            "geometry-cache station count");
+  }
 };
 
 class GeometryCache {
@@ -99,19 +116,19 @@ class GeometryCache {
     return static_cast<std::uint64_t>(misses_->value());
   }
 
-  /// Checkpoint access (core::Session): resident entries in ascending
-  /// step order.  Restoring the contents *and* the hit/miss counts keeps
-  /// a resumed run's cache_hit/cache_miss event deltas — and, with a
-  /// registry, the scraped counters — bit-identical to an uninterrupted
-  /// run.
-  const std::map<std::int64_t, StepGeometry>& entries() const {
-    return entries_;
-  }
-  void restore_state(std::map<std::int64_t, StepGeometry> entries,
-                     std::uint64_t hits, std::uint64_t misses) {
-    entries_ = std::move(entries);
-    hits_->reset_to(static_cast<double>(hits));
-    misses_->reset_to(static_cast<double>(misses));
+  /// Checkpoint state (core::Session): the resident entries and the
+  /// hit/miss counts.  Restoring both keeps a resumed run's
+  /// cache_hit/cache_miss event deltas — and, with a registry, the scraped
+  /// counters — bit-identical to an uninterrupted run.
+  template <class Ar>
+  void visit(Ar& ar) {
+    std::uint64_t hit_count = hits();
+    std::uint64_t miss_count = misses();
+    ar(hit_count, miss_count, entries_);
+    if constexpr (Ar::kReading) {
+      hits_->reset_to(static_cast<double>(hit_count));
+      misses_->reset_to(static_cast<double>(miss_count));
+    }
   }
 
  private:

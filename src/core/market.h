@@ -61,6 +61,9 @@ struct TenantSpec {
   std::vector<int> satellites;       ///< Indices into the run's sat list.
   double weight = 1.0;               ///< Relative priority share (> 0).
   double sla_latency_minutes = 0.0;  ///< Latency target; 0 = none.
+
+  template <class Ar>
+  void visit(Ar& ar) { ar(name, weight, sla_latency_minutes, satellites); }
 };
 
 /// Deterministic deficit-weighted fair share.  Per scheduling instant the
@@ -117,9 +120,10 @@ class TenantArbiter {
   /// Multiplier from the last refresh_scales() (1.0 before the first).
   double scale(int t) const { return scale_.at(t); }
 
-  /// Checkpoint restore (core::Session): the cumulative books, verbatim.
-  void restore_state(std::vector<double> delivered,
-                     std::vector<std::int64_t> assignments);
+  /// Checkpoint state (core::Session): tenant `t`'s cumulative books,
+  /// verbatim.  The scales are refreshed from them before every use.
+  template <class Ar>
+  void visit(Ar& ar, int t) { ar(delivered_.at(t), assignments_.at(t)); }
 
  private:
   std::vector<TenantSpec> tenants_;

@@ -121,26 +121,14 @@ class WarmStartMatcher {
   /// starts (vs re-sorted).
   std::int64_t order_reuses() const { return order_reuses_; }
 
-  /// Checkpoint access (core::Session).  The carried-over state decides
+  /// Checkpoint state (core::Session).  The carried-over state decides
   /// warm vs cold on the next instant, which feeds the
   /// dgs_sched_warm_hits/cold_starts counters — so a resumed run must
   /// restore it for metrics byte-equality.  stamp_/slot_ are per-call
   /// scratch and excluded.
-  const std::vector<std::pair<int, int>>& prev_pairs() const {
-    return prev_pairs_;
-  }
-  const std::vector<std::vector<int>>& prev_order() const {
-    return prev_order_;
-  }
-  void restore_state(std::vector<std::pair<int, int>> prev_pairs,
-                     std::vector<std::vector<int>> prev_order,
-                     std::int64_t warm_hits, std::int64_t cold_starts,
-                     std::int64_t order_reuses) {
-    prev_pairs_ = std::move(prev_pairs);
-    prev_order_ = std::move(prev_order);
-    warm_hits_ = warm_hits;
-    cold_starts_ = cold_starts;
-    order_reuses_ = order_reuses;
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(prev_pairs_, prev_order_, warm_hits_, cold_starts_, order_reuses_);
   }
 
  private:
@@ -149,8 +137,20 @@ class WarmStartMatcher {
                       const std::vector<std::vector<int>>& by_sat,
                       bool allow_carryover);
 
+  /// One matched (sat, station) pair of the previous instant.
+  struct Pair {
+    int sat = 0;
+    int station = 0;
+
+    template <class Ar>
+    void visit(Ar& ar) {
+      ar.index(sat, ar.bounds().sats, "matcher satellite");
+      ar.index(station, ar.bounds().stations, "matcher station");
+    }
+  };
+
   /// Previous result as (sat, station) pairs, station-ascending.
-  std::vector<std::pair<int, int>> prev_pairs_;
+  std::vector<Pair> prev_pairs_;
   /// Previous per-satellite preference order (station ids, best first).
   std::vector<std::vector<int>> prev_order_;
   std::int64_t warm_hits_ = 0;

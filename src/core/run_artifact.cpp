@@ -22,6 +22,12 @@ bool is_integral(double v) {
   return std::nearbyint(v) == v && std::abs(v) < 9.007199254740992e15;
 }
 
+/// The decimal text of an is_integral() number: below 2^53 in magnitude,
+/// so exact as a long long.
+std::string integral_text(double v) {
+  return std::to_string(static_cast<long long>(v));
+}
+
 // --- Restricted JSON parser ------------------------------------------------
 
 constexpr int kMaxDepth = 8;
@@ -267,7 +273,8 @@ constexpr const char* kCheckpointSections[] = {
 
 /// Campaign identity fields shared by the manifest and the aggregate
 /// (emitted after schema_version and the artifact tag, in this order).
-enum class CampaignFieldKind { kCInt, kCReal, kCString };
+/// kCCount is an integer the readers narrow to int: in [0, 2^31).
+enum class CampaignFieldKind { kCInt, kCCount, kCReal, kCString };
 struct CampaignFieldSpec {
   const char* key;
   CampaignFieldKind kind;
@@ -275,7 +282,7 @@ struct CampaignFieldSpec {
 constexpr CampaignFieldSpec kCampaignIdentity[] = {
     {"profile", CampaignFieldKind::kCString},
     {"campaign_seed", CampaignFieldKind::kCInt},
-    {"samples", CampaignFieldKind::kCInt},
+    {"samples", CampaignFieldKind::kCCount},
     {"duration_hours", CampaignFieldKind::kCReal},
     {"step_seconds", CampaignFieldKind::kCReal},
     {"num_satellites", CampaignFieldKind::kCInt},
@@ -417,11 +424,11 @@ std::optional<ArtifactError> check_artifact_header(
   if (auto e = check_number(version, where + ".schema_version", true)) {
     return e;
   }
-  if (static_cast<int>(version.number) != kRunArtifactSchemaVersion) {
+  if (version.number != kRunArtifactSchemaVersion) {
     return err(where + ".schema_version",
                "expected version " +
                    std::to_string(kRunArtifactSchemaVersion) + ", got " +
-                   std::to_string(static_cast<int>(version.number)));
+                   integral_text(version.number));
   }
   if (root.members[1].first != "artifact" ||
       root.members[1].second.kind != JsonValue::Kind::kString) {
@@ -448,6 +455,12 @@ std::optional<ArtifactError> check_campaign_identity(
     switch (f.kind) {
       case CampaignFieldKind::kCInt:
         if (auto e = check_number(v, field, true)) return e;
+        break;
+      case CampaignFieldKind::kCCount:
+        if (auto e = check_number(v, field, true)) return e;
+        if (v.number < 0.0 || v.number > std::numeric_limits<int>::max()) {
+          return err(field, "must be in [0, 2^31)");
+        }
         break;
       case CampaignFieldKind::kCReal:
         if (auto e = check_number(v, field, false)) return e;
@@ -688,12 +701,12 @@ std::optional<ArtifactError> validate_summary_json(std::string_view text) {
         break;
     }
   }
-  const int version = static_cast<int>(doc->members[0].second.number);
+  const double version = doc->members[0].second.number;
   if (version != kRunArtifactSchemaVersion) {
     return err("summary.schema_version",
                "expected version " +
                    std::to_string(kRunArtifactSchemaVersion) + ", got " +
-                   std::to_string(version));
+                   integral_text(version));
   }
   return std::nullopt;
 }

@@ -36,6 +36,54 @@
 
 namespace dgs::core {
 
+/// Every option that shapes the simulated trajectory, in options_crc32()
+/// order.  `ar.exclude` names the fields left out on purpose: `parallel`
+/// (any thread count produces identical results — restoring under a
+/// different count is the point), the metrics/events sinks, and
+/// edge_value_modifier (an opaque callable; runs using it cannot assert
+/// checkpoint identity on it).
+template <class Ar>
+void visit(Ar& ar, SimulationOptions& o) {
+  ar(o.start, o.duration_hours, o.step_seconds, o.matcher, o.value,
+     o.weather_aware, o.couple_forecast_to_plan_upload,
+     o.initial_backlog_bytes, o.initial_backlog_age_hours,
+     o.urgent_fraction, o.urgent_priority, o.lookahead_hours,
+     o.station_backhaul_bps, o.slew_seconds, o.collect_timeseries,
+     o.faults, o.station_subset, o.tenants);
+  ar.exclude(o.parallel, o.metrics, o.events, o.edge_value_modifier);
+}
+
+template <class Ar>
+void visit(Ar& ar, faults::FaultPlan& f) {
+  ar(f.seed, f.outages, f.churn, f.backhaul, f.ack_relay, f.plan_upload);
+}
+
+template <class Ar>
+void visit(Ar& ar, faults::OutageWindow& w) {
+  ar(w.station_index, w.start_hours, w.end_hours);
+}
+
+template <class Ar>
+void visit(Ar& ar, faults::StationChurn& c) {
+  ar(c.mtbf_hours, c.mttr_hours, c.station_fraction);
+}
+
+template <class Ar>
+void visit(Ar& ar, faults::BackhaulFault& b) {
+  ar(b.station_index, b.start_hours, b.end_hours, b.rate_multiplier);
+}
+
+template <class Ar>
+void visit(Ar& ar, faults::AckRelayFaults& a) {
+  ar(a.loss_probability, a.initial_backoff_s, a.backoff_multiplier,
+     a.max_backoff_s, a.max_attempts);
+}
+
+template <class Ar>
+void visit(Ar& ar, faults::PlanUploadFaults& p) {
+  ar(p.failure_probability);
+}
+
 class Session {
  public:
   /// Same contract as the Simulator constructor: `actual_weather` decides
@@ -93,12 +141,9 @@ class Session {
       const weather::WeatherProvider* actual_weather,
       const SimulationOptions& opts);
 
-  /// CRC32 over the canonical encoding of every option that affects the
-  /// simulated trajectory.  Excluded on purpose: `parallel` (any thread
-  /// count produces identical results — restoring under a different count
-  /// is the point), the metrics/events sinks, and edge_value_modifier
-  /// (opaque callable; runs using it cannot assert checkpoint identity
-  /// on it).
+  /// CRC32 over the BinaryWriter encoding of every option that affects
+  /// the simulated trajectory (visit(Ar&, SimulationOptions&) above lists
+  /// them and the exclusions).
   std::uint32_t options_crc32() const;
 
  private:
@@ -142,6 +187,9 @@ class Session {
     const link::ModCod* modcod = nullptr;
     int held_steps = 0;
     std::int64_t last_step = -1;
+
+    template <class Ar>
+    void visit(Ar& ar);
   };
 
   void register_metrics();
@@ -152,6 +200,13 @@ class Session {
   /// Applies a validated checkpoint buffer to this (freshly constructed)
   /// session.  Throws std::invalid_argument on any mismatch.
   void apply_checkpoint(std::string_view data);
+
+  /// Calls `section(name, visit)` once per checkpoint section, in
+  /// checkpoint_section_names() order, where `visit(Ar&)` lists that
+  /// section's state.  snapshot() runs it with a BinaryWriter,
+  /// apply_checkpoint() with a BinaryReader.
+  template <class Ar, class Section>
+  void visit_checkpoint(Section&& section);
 
   // --- Immutable run inputs ------------------------------------------------
   std::vector<groundseg::SatelliteConfig> sats_;

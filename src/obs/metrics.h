@@ -127,6 +127,14 @@ struct MetricSnapshot {
   std::vector<double> upper_bounds;      ///< Histogram bucket bounds.
   std::vector<std::uint64_t> cells;      ///< Histogram folded_cells().
   double sum = 0.0;                      ///< Histogram running sum.
+
+  /// Checkpoint encoding (core::Session); the kind travels as one byte.
+  template <class Ar>
+  void visit(Ar& ar) {
+    auto kind_byte = static_cast<std::uint8_t>(kind);
+    ar(name, help, kind_byte, value, upper_bounds, cells, sum);
+    if constexpr (Ar::kReading) kind = kind_byte;
+  }
 };
 
 /// Owns every metric of one run/process and renders the Prometheus text

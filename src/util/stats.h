@@ -38,18 +38,12 @@ class SampleSet {
   /// Sorted view of the samples.
   const std::vector<double>& sorted() const;
 
-  /// The samples in their current (insertion, unless sorted() has been
-  /// queried) order, with no sort side effect — checkpoint serialization.
+  /// Checkpoint state: the samples in their current order (insertion,
+  /// unless sorted() has been queried) and whether that order is sorted.
   /// mean() sums in this order, so restoring it exactly keeps every later
   /// query bit-identical to an uninterrupted accumulation.
-  const std::vector<double>& raw() const { return samples_; }
-  bool sort_cached() const { return sorted_; }
-  /// Replaces the contents with a previously captured (raw, sort_cached)
-  /// pair, bit-exact.
-  void restore(std::vector<double> samples, bool sort_cached) {
-    samples_ = std::move(samples);
-    sorted_ = sort_cached;
-  }
+  template <class Ar>
+  void visit(Ar& ar) { ar(sorted_, samples_); }
 
  private:
   mutable std::vector<double> samples_;

@@ -92,6 +92,17 @@ TEST(SummaryValidator, RejectsWrongSchemaVersion) {
   EXPECT_EQ(e->where, "summary.schema_version");
 }
 
+// An integral version beyond the int range is reported as written, not
+// narrowed (2^53 is the is_integral bound).
+TEST(SummaryValidator, ReportsOutOfRangeSchemaVersionAsWritten) {
+  const auto e = validate_summary_json(replaced(
+      empty_summary(), "\"schema_version\": 2",
+      "\"schema_version\": 9000000000"));
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->where, "summary.schema_version");
+  EXPECT_EQ(e->message, "expected version 2, got 9000000000");
+}
+
 TEST(SummaryValidator, RejectsMissingAndExtraKeys) {
   const auto missing = validate_summary_json(replaced(
       empty_summary(), "  \"ack_retries\": 0,\n", ""));
@@ -304,6 +315,27 @@ TEST(CampaignValidators, RejectHeaderViolations) {
       valid_manifest(), "\"schema_version\": 2", "\"schema_version\": 0"));
   ASSERT_TRUE(stale.has_value());
   EXPECT_EQ(stale->where, "manifest.schema_version");
+}
+
+TEST(CampaignValidators, ReportOutOfRangeSchemaVersionAsWritten) {
+  const auto e = validate_campaign_manifest_json(replaced(
+      valid_manifest(), "\"schema_version\": 2",
+      "\"schema_version\": -9000000000"));
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->where, "manifest.schema_version");
+  EXPECT_EQ(e->message, "expected version 2, got -9000000000");
+}
+
+// validate_campaign_dir narrows samples to int, so the manifest bounds it.
+TEST(CampaignValidators, RejectOutOfRangeSampleCountsByName) {
+  for (const char* samples : {"1000000000000000", "2147483648", "-1"}) {
+    const auto e = validate_campaign_manifest_json(
+        replaced(valid_manifest(), "\"samples\": 6",
+                 std::string("\"samples\": ") + samples));
+    ASSERT_TRUE(e.has_value()) << samples;
+    EXPECT_EQ(e->where, "manifest.samples") << samples;
+    EXPECT_EQ(e->message, "must be in [0, 2^31)") << samples;
+  }
 }
 
 TEST(CampaignValidators, RejectIdentityAndMetricViolations) {
