@@ -7,7 +7,10 @@
 // artifact — edge/matching counts and CRC32 digests, no timings — that
 // the CI scale lane byte-compares across `--threads 1` and `--threads 4`
 // to pin thread-count invariance at scale.  `--sats=N` restricts the run
-// to one constellation size.
+// to one constellation size.  `--weather` (with `--summary-out`, no timed
+// benchmarks) builds the engines on a SyntheticWeatherProvider over the
+// run, so the summary digests predicted rates under storms; the timed
+// BM_Scale* numbers stay clear-sky.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -26,6 +29,7 @@
 #include "src/groundseg/network_gen.h"
 #include "src/util/crc32.h"
 #include "src/util/thread_pool.h"
+#include "src/weather/synthetic.h"
 
 namespace {
 
@@ -36,6 +40,8 @@ using dgs::core::SchedulerConfig;
 using dgs::core::VisibilityEngine;
 
 int g_threads = 1;
+bool g_weather = false;
+constexpr std::uint64_t kWeatherSeed = 777;
 
 const dgs::util::Epoch kEpoch(dgs::util::DateTime{2020, 11, 4, 0, 0, 0.0});
 
@@ -43,6 +49,7 @@ struct World {
   std::vector<dgs::groundseg::SatelliteConfig> sats;
   std::vector<dgs::groundseg::GroundStation> stations;
   std::unique_ptr<dgs::util::ThreadPool> pool;
+  std::unique_ptr<dgs::weather::SyntheticWeatherProvider> wx;  ///< --weather
   std::unique_ptr<VisibilityEngine> brute;
   std::unique_ptr<VisibilityEngine> indexed;
   std::unique_ptr<Scheduler> sched_warm;  ///< On the indexed engine.
@@ -66,10 +73,15 @@ World& world(int num_sats) {
   pc.num_threads = g_threads;
   w.pool = std::make_unique<dgs::util::ThreadPool>(pc);
 
-  w.brute = std::make_unique<VisibilityEngine>(w.sats, w.stations, nullptr);
+  if (g_weather) {
+    w.wx = std::make_unique<dgs::weather::SyntheticWeatherProvider>(
+        kWeatherSeed, kEpoch, 2.0);
+  }
+  w.brute = std::make_unique<VisibilityEngine>(w.sats, w.stations, w.wx.get());
   w.brute->set_spatial_index(false);
   w.brute->set_thread_pool(w.pool.get());
-  w.indexed = std::make_unique<VisibilityEngine>(w.sats, w.stations, nullptr);
+  w.indexed =
+      std::make_unique<VisibilityEngine>(w.sats, w.stations, w.wx.get());
   w.indexed->set_thread_pool(w.pool.get());
 
   SchedulerConfig warm_cfg;
@@ -175,8 +187,12 @@ int write_summary(const std::string& path, const std::vector<int>& sizes) {
     std::fprintf(stderr, "abl_scale: cannot write %s\n", path.c_str());
     return 1;
   }
-  std::fprintf(fh, "{\n  \"schema\": \"dgs.scale_summary.v1\",\n"
-                   "  \"points\": [\n");
+  std::fprintf(fh, "{\n  \"schema\": \"dgs.scale_summary.v1\",\n");
+  if (g_weather) {
+    std::fprintf(fh, "  \"weather\": \"synthetic seed %llu\",\n",
+                 static_cast<unsigned long long>(kWeatherSeed));
+  }
+  std::fprintf(fh, "  \"points\": [\n");
   bool failed = false;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     World& w = world(sizes[i]);
@@ -230,6 +246,11 @@ int main(int argc, char** argv) {
   const std::string summary_path =
       dgs::bench::consume_string_flag(&argc, argv, "--summary-out");
   g_threads = threads;
+  g_weather = dgs::bench::consume_switch_flag(&argc, argv, "--weather");
+  if (g_weather && summary_path.empty()) {
+    std::fprintf(stderr, "abl_scale: --weather needs --summary-out\n");
+    return 2;
+  }
 
   std::vector<int> sizes{1000, 5000, 10000};
   if (only_sats > 0) sizes = {only_sats};
@@ -246,7 +267,7 @@ int main(int argc, char** argv) {
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  if (!g_weather) benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   if (!summary_path.empty()) return write_summary(summary_path, sizes);
   return 0;

@@ -68,6 +68,22 @@ inline int consume_int_flag(int* argc, char** argv, const char* flag,
   return v.empty() ? fallback : std::atoi(v.c_str());
 }
 
+/// Extracts a bare `--name` switch (no value) and returns whether it was
+/// present.  `flag` includes the leading dashes.
+inline bool consume_switch_flag(int* argc, char** argv, const char* flag) {
+  bool present = false;
+  int out = 1;
+  for (int i = 1; i < *argc; ++i) {
+    if (std::strcmp(argv[i], flag) == 0) {
+      present = true;
+      continue;
+    }
+    argv[out++] = argv[i];
+  }
+  *argc = out;
+  return present;
+}
+
 /// Extracts `--trace-out=FILE` / `--trace-out FILE` (again before
 /// Benchmark's parser rejects it).  Returns the path, or "" when absent;
 /// the caller enables span tracing and writes the Chrome-trace JSON there

@@ -78,6 +78,17 @@ void BM_WeatherForecastQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_WeatherForecastQuery);
 
+// Storm generation plus the storm index, for the 25 h horizon the benches
+// and examples run: part of every session's set-up.
+void BM_SyntheticWeatherConstruct(benchmark::State& state) {
+  const dgs::util::Epoch start(dgs::util::DateTime{2020, 11, 4, 0, 0, 0.0});
+  for (auto _ : state) {
+    const dgs::weather::SyntheticWeatherProvider wx(7, start, 25.0);
+    benchmark::DoNotOptimize(wx.storm_count());
+  }
+}
+BENCHMARK(BM_SyntheticWeatherConstruct);
+
 }  // namespace
 
 BENCHMARK_MAIN();

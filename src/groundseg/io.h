@@ -31,6 +31,10 @@ void save_tle_file(const std::string& path,
 ///   id,name,lat_deg,lon_deg,alt_km,dish_m,tx_capable,min_el_deg
 /// A header row is written and tolerated on read.  Fields with commas are
 /// not supported (station names come from controlled inventories).
+/// Numeric fields must be whole decimal numbers (blanks around them are
+/// ignored): hex, inf, nan, trailing characters and out-of-range values
+/// are rejected, as are |lat_deg| > 90, dish_m <= 0, tx_capable other than
+/// 0 or 1 and |min_el_deg| > 90, each with its line number.
 std::vector<GroundStation> read_station_csv(std::istream& in);
 std::vector<GroundStation> load_station_file(const std::string& path);
 void write_station_csv(std::ostream& out,
